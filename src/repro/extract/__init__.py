@@ -4,7 +4,7 @@ from .extract import (
     VIA_RES_KOHM,
     Extraction,
     congestion_derates,
-    estimate_loads,
+    estimate_net_parasitics,
     estimate_parasitics,
     extract_design,
     extract_net,
@@ -19,7 +19,7 @@ __all__ = [
     "VIA_RES_KOHM",
     "congestion_derates",
     "elmore_forest",
-    "estimate_loads",
+    "estimate_net_parasitics",
     "estimate_parasitics",
     "extract_design",
     "extract_net",

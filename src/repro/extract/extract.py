@@ -303,57 +303,43 @@ def estimate_parasitics(netlist: Netlist, library: Library,
     """
     extraction = Extraction()
     cap_memo: dict[tuple[str, str], float] = {}
-    for net_name, net in netlist.nets.items():
-        driver, sink_pins = _net_pins(netlist, library, net_name, cap_memo)
-        if placement is not None:
-            points = placement.net_points(netlist, net_name)
-            if len(points) >= 2:
-                xs = [p.x_nm for p in points]
-                ys = [p.y_nm for p in points]
-                length_um = ((max(xs) - min(xs)) + (max(ys) - min(ys))) / 1000.0
-            else:
-                length_um = 0.0
-        else:
-            length_um = fanout_length_um * max(len(sink_pins), 1)
-        wire_cap = cap_per_um_ff * length_um
-        wire_res = res_per_um_kohm * length_um
-        pin_cap = sum(cap for _i, _p, cap in sink_pins)
-        # Lumped-pi estimate: every sink sees half the wire RC.
-        elmore = 0.5 * wire_res * (wire_cap + pin_cap)
-        extraction.nets[net_name] = NetParasitics(
-            net=net_name,
-            wire_cap_ff=wire_cap,
-            wire_res_kohm=wire_res,
-            pin_cap_ff=pin_cap,
-            sink_elmore_ps={(i, p): elmore for i, p, _c in sink_pins},
-            wirelength_nm=length_um * 1000.0,
-        )
+    for net_name in netlist.nets:
+        extraction.nets[net_name] = estimate_net_parasitics(
+            netlist, library, net_name, placement, cap_per_um_ff,
+            res_per_um_kohm, fanout_length_um, cap_memo)
     return extraction
 
 
-def estimate_loads(netlist: Netlist, library: Library,
-                   cap_per_um_ff: float = 0.22,
-                   fanout_length_um: float = 0.70) -> dict[str, float]:
-    """Driver loads only, under the fanout wireload model.
-
-    Bit-equal to ``estimate_parasitics(netlist, library)[net]
-    .total_cap_ff`` for every net (the same operations in the same
-    order: ``cap_per_um * length + sum(pin caps in sink order)``) but
-    without building any :class:`NetParasitics`.  The sizing loop's
-    overloaded-driver scan needs nothing else, and this is roughly half
-    of its wireload-model cost.
-    """
-    loads: dict[str, float] = {}
-    cap_memo: dict[tuple[str, str], float] = {}
-    for net_name, net in netlist.nets.items():
-        pin_cap = 0.0
-        for inst_name, pin_name in net.sinks:
-            key = (netlist.instances[inst_name].master, pin_name)
-            cap = cap_memo.get(key)
-            if cap is None:
-                cap = library[key[0]].pin(pin_name).cap_ff
-                cap_memo[key] = cap
-            pin_cap += cap
-        length_um = fanout_length_um * max(len(net.sinks), 1)
-        loads[net_name] = cap_per_um_ff * length_um + pin_cap
-    return loads
+def estimate_net_parasitics(netlist: Netlist, library: Library,
+                            net_name: str,
+                            placement: Placement | None = None,
+                            cap_per_um_ff: float = 0.22,
+                            res_per_um_kohm: float = 0.55,
+                            fanout_length_um: float = 0.70,
+                            cap_memo: dict | None = None) -> NetParasitics:
+    """One net of :func:`estimate_parasitics`, bit-equal to its entry:
+    the per-net body both the full build and a refresh call."""
+    _driver, sink_pins = _net_pins(netlist, library, net_name, cap_memo)
+    if placement is not None:
+        points = placement.net_points(netlist, net_name)
+        if len(points) >= 2:
+            xs = [p.x_nm for p in points]
+            ys = [p.y_nm for p in points]
+            length_um = ((max(xs) - min(xs)) + (max(ys) - min(ys))) / 1000.0
+        else:
+            length_um = 0.0
+    else:
+        length_um = fanout_length_um * max(len(sink_pins), 1)
+    wire_cap = cap_per_um_ff * length_um
+    wire_res = res_per_um_kohm * length_um
+    pin_cap = sum(cap for _i, _p, cap in sink_pins)
+    # Lumped-pi estimate: every sink sees half the wire RC.
+    elmore = 0.5 * wire_res * (wire_cap + pin_cap)
+    return NetParasitics(
+        net=net_name,
+        wire_cap_ff=wire_cap,
+        wire_res_kohm=wire_res,
+        pin_cap_ff=pin_cap,
+        sink_elmore_ps={(i, p): elmore for i, p, _c in sink_pins},
+        wirelength_nm=length_um * 1000.0,
+    )

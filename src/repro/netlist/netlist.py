@@ -60,8 +60,8 @@ class Netlist:
         #: Free-form metadata attached by generators (e.g. the RISC-V
         #: generator records which nets carry the PC and register file).
         self.attributes: dict[str, object] = {}
-        #: Structural revision, bumped on every connectivity mutation
-        #: (and on :meth:`bind`, which every rewiring pass must call).
+        #: Structural revision, bumped on added instances and on :meth:`bind`
+        #: (a rewiring pass keeps driver/sink lists consistent, then binds).
         #: Consumers like the STA level-graph prep cache key on it.
         self.rev = 0
 
@@ -99,9 +99,10 @@ class Netlist:
     def bind(self, library: Library) -> None:
         """Resolve drivers/sinks from pin directions; validate connectivity.
 
-        Must be called once after construction (and again if instances
-        are re-mastered).  Raises on missing masters, unconnected pins,
-        multiply-driven or undriven nets.
+        Call once after construction and once at the end of every
+        rewiring pass; re-mastering to a same-pin cell needs no re-bind.
+        Raises on missing masters, unconnected pins, multiply-driven or
+        undriven nets.
         """
         self.rev = getattr(self, "rev", 0) + 1
         for net in self.nets.values():
