@@ -57,7 +57,7 @@ from ..netlist import Netlist
 from ..power import PowerReport
 from ..sta import TimingReport
 from . import faults as faults_mod
-from . import kernels, locking, telemetry
+from . import locking, telemetry
 from .config import FlowConfig
 from .ppa import FailedRun, PPAResult
 
@@ -86,9 +86,9 @@ NON_PPA_FIELDS = frozenset({"tag"})
 #: Bumped only on cache *format* changes (payload layout, key recipe).
 #: 2: payload carries a content checksum; corrupt entries are detected,
 #: counted (``cache.corrupt``) and deleted instead of silently missing.
-#: 3: the key covers the active ``$REPRO_KERNEL`` mode, so python- and
-#: numpy-kernel results can never cross-pollinate a warm store.
-CACHE_FORMAT = 3
+#: 3: the key covered a kernel-mode switch, since removed.
+#: 4: the key no longer has a kernel field (one implementation per kernel).
+CACHE_FORMAT = 4
 
 _code_fingerprint: str | None = None
 
@@ -178,12 +178,11 @@ def code_fingerprint() -> str:
 
 def cache_key(config: FlowConfig, netlist_fp: str,
               version: str | None = None) -> str:
-    """Stable content hash of (config, netlist, kernel mode, code version)."""
+    """Stable content hash of (config, netlist, code version)."""
     payload = {
         "format": CACHE_FORMAT,
         "config": config_cache_fields(config),
         "netlist": netlist_fp,
-        "kernel": kernels.kernel_mode(),
         "version": version if version is not None else code_fingerprint(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

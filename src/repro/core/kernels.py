@@ -1,62 +1,16 @@
-"""Kernel-mode selection for the vectorized hot-stage kernels.
+"""The flow's kernel implementation name, for benchmark host records.
 
-The four hottest inner kernels of the flow — analytic-placement
-field/gradient updates, maze-routing wavefront expansion, Elmore delay
-over RC trees and NLDM lookup-table interpolation — each ship two
-implementations:
-
-* ``python`` — the plain-Python reference path (dict/loop based, the
-  original implementation, kept as the semantic ground truth);
-* ``numpy`` — the vectorized production path (dense array ops, the
-  default).
-
-``$REPRO_KERNEL`` selects the mode for the whole process.  The two
-modes are designed to be *operation-order compatible*: every floating-
-point accumulation happens in the same order in both implementations,
-so for the placement, extraction and STA kernels the results agree
-bit-for-bit, and for routing both modes compute the identical
-distance field and backtrack rule and therefore the identical routes
-(see docs/performance.md for the full tolerance policy, and
-``tests/test_kernel_equivalence.py`` for the property harness pinning
-the agreement).
-
-Because the kernels are equivalent by construction the mode would not
-*need* to enter the cache key — but equivalence is an invariant under
-test, not an axiom, so the mode is folded into both the flow-result
-cache key and every stage key
-(:func:`repro.core.cache.cache_key` / :func:`repro.core.stages.stage_key`):
-python and numpy results can never cross-pollinate a warm store.
+Every hot kernel (placement field sweeps, maze distance fields, the
+batched Elmore solve, level-batched STA propagation) has exactly one
+production implementation; its scalar reference lives in
+``tests/kernel_oracles.py``.  This module exists only because the flow
+benchmark (``flowbench/run.py``) records :func:`kernel_mode` in its
+host record; nothing in the package calls it.
 """
 
 from __future__ import annotations
 
-import os
-
-#: Environment variable selecting the kernel implementation.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: Recognized kernel modes.
-KERNEL_MODES = ("python", "numpy")
-
-#: Mode used when ``$REPRO_KERNEL`` is unset or empty.
-DEFAULT_KERNEL = "numpy"
-
 
 def kernel_mode() -> str:
-    """The active kernel mode, from ``$REPRO_KERNEL``.
-
-    Read from the environment on every call so tests (and the
-    equivalence benchmark) can flip modes without re-importing; the
-    callers all read it once per kernel invocation, never per element.
-    """
-    mode = os.environ.get(KERNEL_ENV, "").strip().lower() or DEFAULT_KERNEL
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"{KERNEL_ENV}={mode!r} is not a kernel mode "
-            f"(choose from {', '.join(KERNEL_MODES)})")
-    return mode
-
-
-def use_numpy_kernels() -> bool:
-    """Convenience predicate for the hot-path dispatch sites."""
-    return kernel_mode() == "numpy"
+    """The name of the one kernel implementation: always ``"numpy"``."""
+    return "numpy"

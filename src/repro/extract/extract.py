@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cells import Library
-from ..core import kernels
 from ..core.telemetry import current_tracer
 from ..lefdef.def_ import DefDesign, RouteSegment
 from ..netlist import Netlist
@@ -91,6 +90,34 @@ class _NetBuild:
     via_count: int
 
 
+def _endpoint_finder(endpoints: list[tuple[float, float]]):
+    """Nearest segment endpoint (Manhattan) to a point, snapped to nm.
+
+    Ties go to the first endpoint in list order.  Nets with many
+    segments use a vectorized search: ``np.argmin`` returns the first
+    minimum, exactly like the scalar ``min`` over indices, and the
+    distances are the same IEEE-754 expressions, so both searches pick
+    the same endpoint at any threshold.
+    """
+    if len(endpoints) >= 32:
+        ex = np.array([e[0] for e in endpoints])
+        ey = np.array([e[1] for e in endpoints])
+
+        def nearest(xy: tuple[float, float]):
+            best = int(np.argmin(np.abs(ex - xy[0]) + np.abs(ey - xy[1])))
+            e = endpoints[best]
+            return (round(e[0]), round(e[1]))
+    else:
+        def nearest(xy: tuple[float, float]):
+            best = min(
+                range(len(endpoints)),
+                key=lambda i: abs(endpoints[i][0] - xy[0]) + abs(endpoints[i][1] - xy[1]),
+            )
+            e = endpoints[best]
+            return (round(e[0]), round(e[1]))
+    return nearest
+
+
 def _prepare_net(net_name: str, segments: list[RouteSegment],
                  stackup: Stackup, driver_xy: tuple[float, float] | None,
                  sinks: list[tuple[str, str, float, tuple[float, float]]],
@@ -122,29 +149,7 @@ def _prepare_net(net_name: str, segments: list[RouteSegment],
         endpoints.append((seg.x1_nm, seg.y1_nm))
         endpoints.append((seg.x2_nm, seg.y2_nm))
 
-    if len(endpoints) >= 32 and kernels.use_numpy_kernels():
-        # Vectorized nearest-endpoint search, worthwhile only on nets
-        # with many segments.  ``np.argmin`` returns the first minimum,
-        # exactly like the scalar ``min`` over indices, and the
-        # Manhattan distances are the same IEEE-754 expressions — so
-        # both modes pick the same endpoint at any threshold.
-        ex = np.array([e[0] for e in endpoints])
-        ey = np.array([e[1] for e in endpoints])
-
-        def nearest(xy: tuple[float, float]):
-            best = int(np.argmin(np.abs(ex - xy[0]) + np.abs(ey - xy[1])))
-            e = endpoints[best]
-            return (round(e[0]), round(e[1]))
-    else:
-        def nearest(xy: tuple[float, float]):
-            if not endpoints:
-                return None
-            best = min(
-                range(len(endpoints)),
-                key=lambda i: abs(endpoints[i][0] - xy[0]) + abs(endpoints[i][1] - xy[1]),
-            )
-            e = endpoints[best]
-            return (round(e[0]), round(e[1]))
+    nearest = _endpoint_finder(endpoints)
 
     # Via stack from the pins (M0) up to the routing tier.
     stack_r = VIA_RES_KOHM * max(max_level, 1) if segments else 0.0
@@ -157,8 +162,7 @@ def _prepare_net(net_name: str, segments: list[RouteSegment],
     for i, (inst, pin, cap, xy) in enumerate(sinks):
         pin_cap_total += cap
         key = ("sink", i)
-        attach = nearest(xy) if endpoints else root
-        tree.add_edge(attach if attach is not None else root, key, stack_r)
+        tree.add_edge(nearest(xy) if endpoints else root, key, stack_r)
         tree.add_cap(key, cap)
         sink_keys[(inst, pin)] = key
         via_count += max_level if segments else 0
@@ -245,15 +249,11 @@ def extract_design(merged: DefDesign, netlist: Netlist, library: Library,
             net_name, segments, stackup, driver_xy, sinks,
             rc_scale=rc_derates.get(net_name, 1.0),
         ))
-    # Elmore solve: one batched forest pass (numpy kernel) or the
-    # per-tree scalar reference — bit-equal either way.
+    # Elmore solve: one batched forest pass over every net's tree.
     with tracer.span("kernel.extract.elmore"):
-        if kernels.use_numpy_kernels():
-            all_delays = elmore_forest(
-                [b.tree for b in builds],
-                wanted=[list(b.sink_keys.values()) for b in builds])
-        else:
-            all_delays = [b.tree.elmore_ps() for b in builds]
+        all_delays = elmore_forest(
+            [b.tree for b in builds],
+            wanted=[list(b.sink_keys.values()) for b in builds])
     for build, delays in zip(builds, all_delays):
         extraction.nets[build.net] = _finalize_net(build, delays)
     if tracer.enabled:

@@ -1,8 +1,8 @@
 """RC trees and Elmore delay computation.
 
-:meth:`RCTree.elmore_ps` is the scalar reference; :func:`elmore_forest`
-is the numpy kernel that evaluates *all* of a design's RC trees in one
-level-ordered batch (see :mod:`repro.core.kernels`).  Both accumulate
+:meth:`RCTree.elmore_ps` evaluates one tree; :func:`elmore_forest` is
+the numpy kernel that evaluates *all* of a design's RC trees in one
+level-ordered batch, which extraction uses.  Both accumulate
 each node's subtree capacitance over its children in BFS-discovery
 order and each delay as ``delay[parent] + res * subtree_cap`` — the
 identical IEEE-754 operations in the identical order — so the two are

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cells import Library
-from ..core import kernels, telemetry
+from ..core import telemetry
 from ..core.errors import FatalError
 from ..netlist import Netlist
 from .geometry import Die, Point
@@ -124,6 +124,71 @@ def _io_pad_positions(netlist: Netlist, die: Die) -> dict[str, Point]:
     return pads
 
 
+@dataclass(frozen=True)
+class _StarNets:
+    """The star-net model the placement field sweep relaxes over.
+
+    ``e_net``/``e_cell`` is the flattened (net, cell) incidence in entry
+    order; nets with an IO pad carry it as a fixed anchor member.
+    """
+
+    e_net: np.ndarray
+    e_cell: np.ndarray
+    a_x: np.ndarray
+    a_y: np.ndarray
+    a_mask: np.ndarray
+    w_net: np.ndarray
+    net_size: np.ndarray
+    cell_weight: np.ndarray
+    movable: np.ndarray
+    width_nm: float
+    height_nm: float
+
+
+def _field_sweep(star: _StarNets, xs: np.ndarray, ys: np.ndarray,
+                 rescale: bool) -> None:
+    """One Jacobi sweep: nets to their centroids, cells to their nets'.
+
+    The scatter-adds (``np.add.at``) accumulate in entry order, so the
+    result is bit-equal to the scalar loop over the incidence list.
+    """
+    n = len(xs)
+    e_net, e_cell = star.e_net, star.e_cell
+    net_sx = np.where(star.a_mask, star.a_x, 0.0).astype(float)
+    net_sy = np.where(star.a_mask, star.a_y, 0.0).astype(float)
+    np.add.at(net_sx, e_net, xs[e_cell])
+    np.add.at(net_sy, e_net, ys[e_cell])
+    cx = net_sx / star.net_size
+    cy = net_sy / star.net_size
+    pull_x = np.zeros(n)
+    pull_y = np.zeros(n)
+    np.add.at(pull_x, e_cell, (star.w_net * cx)[e_net])
+    np.add.at(pull_y, e_cell, (star.w_net * cy)[e_net])
+    movable = star.movable
+    xs[movable] = pull_x[movable] / star.cell_weight[movable]
+    ys[movable] = pull_y[movable] / star.cell_weight[movable]
+    if rescale:
+        _rescale(star, xs, ys)
+
+
+def _rescale(star: _StarNets, xs: np.ndarray, ys: np.ndarray) -> None:
+    """Re-expand the movable cells to fill the die.
+
+    Pure relaxation collapses to a point, which loses all ordering
+    information; keeping the spread makes the iteration behave like a
+    spectral method.
+    """
+    movable = star.movable
+    for arr, extent in ((xs, star.width_nm), (ys, star.height_nm)):
+        std = arr[movable].std()
+        if std > 1e-9:
+            arr[movable] = (
+                (arr[movable] - arr[movable].mean())
+                * (0.28 * extent / std) + extent / 2.0
+            )
+        np.clip(arr, 0.0, extent, out=arr)
+
+
 def global_place(netlist: Netlist, library: Library, die: Die,
                  seed: int = 0, iterations: int = 96) -> Placement:
     """Quadratic relaxation followed by bisection spreading.
@@ -203,76 +268,8 @@ def global_place(netlist: Netlist, library: Library, die: Die,
         ys[i] = m.center.y_nm
         movable[i] = False
 
-    def _rescale() -> None:
-        # Re-expand to fill the die: pure relaxation collapses to a
-        # point, which loses all ordering information.  Keeping the
-        # spread makes the iteration behave like a spectral method.
-        # Shared by both kernel modes: the reductions (mean/std) use
-        # numpy's pairwise summation, which a scalar re-implementation
-        # could not reproduce bit-for-bit.
-        for arr, extent in ((xs, die.width_nm), (ys, die.height_nm)):
-            std = arr[movable].std()
-            if std > 1e-9:
-                arr[movable] = (
-                    (arr[movable] - arr[movable].mean())
-                    * (0.28 * extent / std) + extent / 2.0
-                )
-            np.clip(arr, 0.0, extent, out=arr)
-
-    if kernels.use_numpy_kernels():
-        def sweep(rescale: bool) -> None:
-            net_sx = np.where(a_mask, a_x, 0.0).astype(float)
-            net_sy = np.where(a_mask, a_y, 0.0).astype(float)
-            np.add.at(net_sx, e_net, xs[e_cell])
-            np.add.at(net_sy, e_net, ys[e_cell])
-            cx = net_sx / net_size
-            cy = net_sy / net_size
-            pull_x = np.zeros(n)
-            pull_y = np.zeros(n)
-            np.add.at(pull_x, e_cell, (w_net * cx)[e_net])
-            np.add.at(pull_y, e_cell, (w_net * cy)[e_net])
-            xs[movable] = pull_x[movable] / cell_weight[movable]
-            ys[movable] = pull_y[movable] / cell_weight[movable]
-            if rescale:
-                _rescale()
-    else:
-        # Reference kernel: the same accumulations as explicit loops
-        # over the incidence list, in identical entry order — scatter
-        # adds are sequential in both paths, so the modes agree
-        # bit-for-bit.
-        net_size_l = net_size.tolist()
-        cell_weight_l = cell_weight.tolist()
-        movable_l = movable.tolist()
-        n_entries = len(entry_net)
-
-        def sweep(rescale: bool) -> None:
-            xs_l = xs.tolist()
-            ys_l = ys.tolist()
-            net_sx = [anchor_x[i] if anchor_mask[i] else 0.0
-                      for i in range(n_nets)]
-            net_sy = [anchor_y[i] if anchor_mask[i] else 0.0
-                      for i in range(n_nets)]
-            for k in range(n_entries):
-                i = entry_net[k]
-                net_sx[i] += xs_l[entry_cell[k]]
-                net_sy[i] += ys_l[entry_cell[k]]
-            cx = [net_sx[i] / net_size_l[i] for i in range(n_nets)]
-            cy = [net_sy[i] / net_size_l[i] for i in range(n_nets)]
-            pull_x = [0.0] * n
-            pull_y = [0.0] * n
-            for k in range(n_entries):
-                i = entry_net[k]
-                c = entry_cell[k]
-                pull_x[c] += net_weight[i] * cx[i]
-                pull_y[c] += net_weight[i] * cy[i]
-            for c in range(n):
-                if movable_l[c]:
-                    xs_l[c] = pull_x[c] / cell_weight_l[c]
-                    ys_l[c] = pull_y[c] / cell_weight_l[c]
-            xs[:] = xs_l
-            ys[:] = ys_l
-            if rescale:
-                _rescale()
+    star = _StarNets(e_net, e_cell, a_x, a_y, a_mask, w_net, net_size,
+                     cell_weight, movable, die.width_nm, die.height_nm)
 
     # Spectral-like phase with rescaling, then a short pure relaxation
     # to pull connected cells tight around the structure found.
@@ -280,9 +277,9 @@ def global_place(netlist: Netlist, library: Library, die: Die,
     relax_iters = iterations + max(4, iterations // 12)
     with tracer.span("kernel.place.field"):
         for _ in range(iterations):
-            sweep(rescale=True)
+            _field_sweep(star, xs, ys, rescale=True)
         for _ in range(max(4, iterations // 12)):
-            sweep(rescale=False)
+            _field_sweep(star, xs, ys, rescale=False)
     if tracer.enabled:
         tracer.count("kernel.place.sweeps", relax_iters)
         tracer.gauge("kernel.place.entries", float(len(entry_net)))

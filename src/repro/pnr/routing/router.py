@@ -6,16 +6,13 @@ L-shapes).  Overflowed nets are then ripped up and rerouted with a
 maze router whose cost includes present congestion and a negotiated-
 congestion history term, for a fixed number of iterations.
 
-The maze search is a dual-implementation kernel selected by
-``$REPRO_KERNEL`` (see :mod:`repro.core.kernels`).  Both modes compute
-the *same* shortest-distance field over the net's search box — the
-python reference settles it with a scalar Dijkstra, the numpy kernel
-runs directional min-plus (fast-sweeping) relaxations to the same
-fixed point — and a shared deterministic backtrack turns the field
-into the route.  With strictly positive edge costs the two fixed
-points are bit-identical (every distance is the minimum over paths of
-the left-associated IEEE-754 sum of edge costs), so both modes produce
-identical routes; ``tests/test_kernel_equivalence.py`` pins this.
+The maze search settles a shortest-distance field over the net's
+search box with directional min-plus (fast-sweeping) relaxations, and
+a deterministic backtrack turns the field into the route.  With
+strictly positive edge costs the fixed point is unique (every distance
+is the minimum over paths of the left-associated IEEE-754 sum of edge
+costs), so it equals a fully settled Dijkstra field bit for bit;
+``tests/test_kernel_equivalence.py`` pins this against a scalar oracle.
 
 The result keeps per-net trees (unit gcell edges), so RC extraction can
 build a real RC tree per net, and reports overflow as a DRV count — the
@@ -24,12 +21,10 @@ paper's validity criterion is fewer than 10 DRVs (Section IV).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...core import kernels
 from ...core.errors import RoutingError
 from ...core.telemetry import current_tracer
 from ...tech import Side
@@ -268,9 +263,8 @@ class GlobalRouter:
                    cost_h: np.ndarray, cost_v: np.ndarray) -> list[Coord]:
         """Multi-source shortest path inside ``box`` via a distance field.
 
-        Both kernel modes settle the same field (see the module
-        docstring for why the fixed points are bit-identical); the
-        backtrack is shared and deterministic.
+        The ``kernel.route.search`` span times the field computation
+        only; the backtrack is deterministic (see the module docstring).
         """
         x0, y0, x1, y1 = box
         tracer = current_tracer()
@@ -278,51 +272,18 @@ class GlobalRouter:
             tracer.count("kernel.route.searches")
             tracer.count("kernel.route.nodes",
                          (y1 - y0 + 1) * (x1 - x0 + 1))
-        if kernels.use_numpy_kernels():
-            dist = self._dist_field_numpy(sources, box, cost_h, cost_v,
-                                          tracer)
-        else:
-            dist = self._dist_field_python(sources, box, cost_h, cost_v)
+        with tracer.span("kernel.route.search"):
+            dist = self._dist_field(sources, box, cost_h, cost_v, tracer)
         if not np.isfinite(dist[target[1] - y0, target[0] - x0]):
             raise RoutingError(f"maze routing failed to reach {target}",
                                "routing")
         return self._backtrack(dist, target, box, cost_h, cost_v)
 
-    def _dist_field_python(self, sources: set[Coord],
-                           box: tuple[int, int, int, int],
-                           cost_h: np.ndarray,
-                           cost_v: np.ndarray) -> np.ndarray:
-        """Reference kernel: scalar Dijkstra settled over the whole box."""
-        x0, y0, x1, y1 = box
-        dist = np.full((y1 - y0 + 1, x1 - x0 + 1), np.inf)
-        heap: list[tuple[float, Coord]] = []
-        for c, r in sources:
-            if x0 <= c <= x1 and y0 <= r <= y1:
-                dist[r - y0, c - x0] = 0.0
-                heap.append((0.0, (c, r)))
-        heapq.heapify(heap)
-        while heap:
-            d, (c, r) = heapq.heappop(heap)
-            if d > dist[r - y0, c - x0]:
-                continue
-            for nxt in ((c + 1, r), (c - 1, r), (c, r + 1), (c, r - 1)):
-                if not (x0 <= nxt[0] <= x1 and y0 <= nxt[1] <= y1):
-                    continue
-                if nxt[1] == r:
-                    step = cost_h[r, min(c, nxt[0])]
-                else:
-                    step = cost_v[min(r, nxt[1]), c]
-                nd = d + step
-                if nd < dist[nxt[1] - y0, nxt[0] - x0]:
-                    dist[nxt[1] - y0, nxt[0] - x0] = nd
-                    heapq.heappush(heap, (nd, nxt))
-        return dist
-
-    def _dist_field_numpy(self, sources: set[Coord],
-                          box: tuple[int, int, int, int],
-                          cost_h: np.ndarray, cost_v: np.ndarray,
-                          tracer) -> np.ndarray:
-        """Numpy kernel: directional min-plus sweeps to the fixed point.
+    def _dist_field(self, sources: set[Coord],
+                    box: tuple[int, int, int, int],
+                    cost_h: np.ndarray, cost_v: np.ndarray,
+                    tracer) -> np.ndarray:
+        """Directional min-plus sweeps to the fixed point.
 
         Each pass relaxes whole rows/columns at once in the four sweep
         directions (the fast-sweeping method); paths with ``k``
@@ -365,11 +326,10 @@ class GlobalRouter:
                    cost_h: np.ndarray, cost_v: np.ndarray) -> list[Coord]:
         """Walk the settled field from ``target`` back to a source.
 
-        Deterministic in both kernel modes: neighbors are probed in a
-        fixed order and accepted on *exact* float equality ``dist[u] +
-        cost == dist[v]`` — always satisfiable at the fixed point, and
-        strictly decreasing, so the walk terminates at a zero-distance
-        source.
+        Deterministic: neighbors are probed in a fixed order and
+        accepted on *exact* float equality ``dist[u] + cost == dist[v]``
+        — always satisfiable at the fixed point, and strictly
+        decreasing, so the walk terminates at a zero-distance source.
         """
         x0, y0, x1, y1 = box
         path = [target]
@@ -413,30 +373,29 @@ class GlobalRouter:
 
         tracer = current_tracer()
         iterations = 0
-        with tracer.span("kernel.route.search"):
-            for iteration in range(self.rrr_iterations):
-                overflow_edges = self._overflowed_edges()
-                if not overflow_edges:
-                    break
-                if iteration >= 2 and len(overflow_edges) > 100:
-                    # Hopelessly over capacity: the run is invalid whatever
-                    # further negotiation does; do not burn minutes on it.
-                    iterations = iteration
-                    break
-                iterations = iteration + 1
-                self.history_h += np.maximum(self.usage_h - self.grid.cap_h, 0) * 0.5
-                self.history_v += np.maximum(self.usage_v - self.grid.cap_v, 0) * 0.5
-                victims = [
-                    name for name, route in routes.items()
-                    if route.edges & overflow_edges
-                ]
-                # Longest victims reroute first: they have the most detours.
-                victims.sort(key=lambda n: -len(routes[n].edges))
-                for name in victims:
-                    self._commit(routes[name].edges, -1)
-                    new_route = self._maze_route(spec_by_name[name])
-                    self._commit(new_route.edges, +1)
-                    routes[name] = new_route
+        for iteration in range(self.rrr_iterations):
+            overflow_edges = self._overflowed_edges()
+            if not overflow_edges:
+                break
+            if iteration >= 2 and len(overflow_edges) > 100:
+                # Hopelessly over capacity: the run is invalid whatever
+                # further negotiation does; do not burn minutes on it.
+                iterations = iteration
+                break
+            iterations = iteration + 1
+            self.history_h += np.maximum(self.usage_h - self.grid.cap_h, 0) * 0.5
+            self.history_v += np.maximum(self.usage_v - self.grid.cap_v, 0) * 0.5
+            victims = [
+                name for name, route in routes.items()
+                if route.edges & overflow_edges
+            ]
+            # Longest victims reroute first: they have the most detours.
+            victims.sort(key=lambda n: -len(routes[n].edges))
+            for name in victims:
+                self._commit(routes[name].edges, -1)
+                new_route = self._maze_route(spec_by_name[name])
+                self._commit(new_route.edges, +1)
+                routes[name] = new_route
 
         over_h = np.maximum(self.usage_h - self.grid.cap_h, 0)
         over_v = np.maximum(self.usage_v - self.grid.cap_v, 0)

@@ -7,10 +7,10 @@ reconstructs the queue bit-for-bit — terminal jobs come back as
 history, settled runs of interrupted jobs are *not* recomputed, and
 only the genuinely unfinished items re-enter the scheduler.
 
-The journal identity is the code fingerprint plus the kernel mode:
-flow results are content-addressed by both, so a journal written by a
-different code version (or under the other kernel) must not replay —
-``begin`` detects the header mismatch and starts fresh.
+The journal identity is the code fingerprint: flow results are
+content-addressed by it, so a journal written by a different code
+version must not replay — ``begin`` detects the header mismatch and
+starts fresh.
 
 Event grammar (one JSON object per line, after the header)::
 
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 from ..core.cache import code_fingerprint
 from ..core.journal import JsonlJournal
-from ..core.kernels import kernel_mode
 
 #: Default journal filename (inside the cache directory).
 DEFAULT_BASENAME = "service-journal.jsonl"
@@ -62,7 +61,7 @@ class JobJournal:
 
     @staticmethod
     def identity() -> dict:
-        return {"code": code_fingerprint(), "kernel": kernel_mode()}
+        return {"code": code_fingerprint()}
 
     @staticmethod
     def _accept(payload: dict) -> bool:

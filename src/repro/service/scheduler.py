@@ -59,11 +59,13 @@ VIA_EXECUTED, VIA_CACHE, VIA_DEDUP, VIA_RESUMED = \
 
 
 def _mc_worker(factory, config, mc: McParams, cache: FlowCache | None,
-               jobs: int = 1) -> dict:
+               jobs: int = 1) -> tuple[dict, float]:
     # Module-level so the process pool can pickle it.  One MC study is
     # a single scheduler item; its internal sample fan-out stays
     # bounded (``jobs``) so MC jobs cannot starve flow jobs of workers.
+    # Timed in the worker, like ``_timed_run``: returns (report, wall).
     from ..variation import VariationModel, run_monte_carlo, signoff
+    start = time.perf_counter()
     model = VariationModel.for_arch(
         config.arch, overlay_sigma_nm=mc.overlay_sigma_nm,
         cd_sigma=mc.cd_sigma, rc_sigma=mc.rc_sigma)
@@ -73,7 +75,7 @@ def _mc_worker(factory, config, mc: McParams, cache: FlowCache | None,
     report = signoff(study).to_dict()
     report["failed_samples"] = len(study.failed)
     report["nominal_cached"] = study.nominal_cached
-    return report
+    return report, time.perf_counter() - start
 
 
 @dataclass
@@ -356,12 +358,12 @@ class Scheduler:
             while True:
                 try:
                     if spec.kind == "mc":
-                        report = await self._loop.run_in_executor(
+                        report, wall = await self._loop.run_in_executor(
                             self._pool, _mc_worker, spec.design, config,
                             spec.mc, self.cache)
                         record = {
                             "label": spec.items[index].label, "ok": True,
-                            "result": report, "wall_s": 0.0,
+                            "result": report, "wall_s": round(wall, 6),
                             "via": VIA_EXECUTED, "attempts": attempt,
                         }
                         break

@@ -9,22 +9,19 @@ values, and setup is checked at every flop D pin and primary output.
 closes — the paper's Figs. 9-11 metric.
 
 The combinational propagation — the hottest loop in the whole flow,
-dominating the sizing stage — ships two implementations selected by
-``$REPRO_KERNEL`` (:mod:`repro.core.kernels`):
+dominating the sizing stage — is a level-batched engine
+(:func:`_propagate_comb`) that groups instances by logic level and
+evaluates every timing-arc candidate of a level through one
+stacked-table interpolation (:class:`repro.sta.nldm.TableStack`).
 
-* ``python`` — the reference topological-order loop below
-  (:func:`_propagate_comb_python`), one scalar NLDM lookup at a time;
-* ``numpy`` — a level-batched engine (:func:`_propagate_comb_numpy`)
-  that groups instances by logic level and evaluates every timing-arc
-  candidate of a level through one stacked-table interpolation
-  (:class:`repro.sta.nldm.TableStack`).
-
-The two paths are operation-order compatible and agree bit-for-bit:
-the batched engine performs the same adds in the same order, replaces
-the running strict-``>`` maximum with an argmax (first occurrence of
-the maximum — exactly what first-wins strict updates keep), and
-resolves ``from_pin`` as the later of the two edges' winning arcs,
-which is precisely the last arc the scalar loop would have accepted.
+It is operation-order compatible with a scalar topological-order loop
+(one :func:`_propagate_arc` per arc, the oracle in
+``tests/kernel_oracles.py``) and agrees with it bit-for-bit: it
+performs the same adds in the same order, replaces the running
+strict-``>`` maximum with an argmax (first occurrence of the maximum —
+exactly what first-wins strict updates keep), and resolves
+``from_pin`` as the later of the two edges' winning arcs, which is
+precisely the last arc the scalar loop would have accepted.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from ..cells import Library, TimingArc
-from ..core import kernels
 from ..core.telemetry import current_tracer
 from ..extract import Extraction
 from ..netlist import Netlist
@@ -193,17 +189,11 @@ def analyze_timing(netlist: Netlist, library: Library, extraction: Extraction,
             net_timing[out_net] = out
             net_from[out_net] = (inst.name, "CK")
 
-    # Combinational propagation in topological order.
+    # Combinational propagation, level by level.
     tracer = current_tracer()
     with tracer.span("kernel.sta.propagate"):
-        if kernels.use_numpy_kernels():
-            nets_timed, net_from_view = _propagate_comb_numpy(
-                netlist, library, extraction, net_timing, net_from, tracer)
-        else:
-            nets_timed = _propagate_comb_python(
-                netlist, library, net_timing, net_from,
-                input_timing, net_load, tracer)
-            net_from_view = net_from
+        nets_timed, net_from_view = _propagate_comb(
+            netlist, library, extraction, net_timing, net_from, tracer)
 
     # Endpoint checks.
     wns = float("inf")
@@ -266,43 +256,7 @@ def analyze_timing(netlist: Netlist, library: Library, extraction: Extraction,
     )
 
 
-def _propagate_comb_python(netlist: Netlist, library: Library,
-                           net_timing: dict[str, PinTiming],
-                           net_from: dict, input_timing, net_load,
-                           tracer) -> int:
-    """Reference kernel: scalar propagation in topological order."""
-    stats = [0, 0] if tracer.enabled else None
-    for inst in netlist.topological_order(library):
-        master = library[inst.master]
-        out_pins = master.output_pins
-        if not out_pins:
-            continue
-        out_net = inst.connections[out_pins[0].name]
-        if master.function in ("TIEHI", "TIELO"):
-            net_timing.setdefault(out_net, PinTiming.at_time(0.0))
-            net_from.setdefault(out_net, None)
-            continue
-        if stats is not None:
-            stats[1] += 1
-        load = net_load(out_net)
-        out = PinTiming()
-        from_pin = None
-        for arc in master.arcs:
-            in_net = inst.connections.get(arc.from_pin)
-            if in_net is None or in_net not in net_timing:
-                continue
-            pt = input_timing(in_net, inst.name, arc.from_pin)
-            if _propagate_arc(arc, pt, load, out, stats):
-                from_pin = arc.from_pin
-        net_timing[out_net] = out
-        net_from[out_net] = (inst.name, from_pin) if from_pin else None
-    if stats is not None:
-        tracer.count("kernel.sta.insts", stats[1])
-        tracer.count("kernel.sta.delay_evals", stats[0])
-    return len(net_timing)
-
-
-# -- numpy kernel: level-batched propagation ---------------------------------
+# -- level-batched propagation -----------------------------------------------
 
 
 class _MasterTemplate:
@@ -578,10 +532,10 @@ class _ArrayFromMap:
         return self.base.get(name, default)
 
 
-def _propagate_comb_numpy(netlist: Netlist, library: Library,
-                          extraction: Extraction,
-                          net_timing: dict[str, PinTiming],
-                          net_from: dict, tracer):
+def _propagate_comb(netlist: Netlist, library: Library,
+                    extraction: Extraction,
+                    net_timing: dict[str, PinTiming],
+                    net_from: dict, tracer):
     """Level-batched kernel: all arcs of a level in one table pass."""
     prep = _prep_for(netlist, library)
     n_nets = prep.n_nets

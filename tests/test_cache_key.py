@@ -123,22 +123,19 @@ def test_netlist_and_version_participate():
     assert cache_key(BASE, NETLIST_FP, version="v2") != k
 
 
-def test_kernel_mode_participates(monkeypatch):
-    """python- and numpy-kernel results can never share a cache entry.
+@pytest.mark.parametrize("kernel_env", [None, "python", "bogus"])
+def test_keys_ignore_the_retired_kernel_variable(kernel_env, monkeypatch):
+    """Each kernel has one implementation, so the result-cache key and
+    every stage key are the same whatever ``REPRO_KERNEL`` holds."""
+    from repro.core.flow import stage_keys
 
-    The modes are equivalent by construction, but that equivalence is
-    an invariant under test, not an axiom — so the active REPRO_KERNEL
-    is part of the key chain."""
-    from repro.core.kernels import KERNEL_ENV
-
-    monkeypatch.setenv(KERNEL_ENV, "numpy")
-    k_numpy = cache_key(BASE, NETLIST_FP, version="v")
-    monkeypatch.setenv(KERNEL_ENV, "python")
-    k_python = cache_key(BASE, NETLIST_FP, version="v")
-    assert k_numpy != k_python
-    # The default (unset) mode is numpy and hashes identically to it.
-    monkeypatch.delenv(KERNEL_ENV)
-    assert cache_key(BASE, NETLIST_FP, version="v") == k_numpy
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    want = (cache_key(BASE, NETLIST_FP, version="v"),
+            stage_keys(BASE, NETLIST_FP, version="v"))
+    if kernel_env is not None:
+        monkeypatch.setenv("REPRO_KERNEL", kernel_env)
+    assert (cache_key(BASE, NETLIST_FP, version="v"),
+            stage_keys(BASE, NETLIST_FP, version="v")) == want
 
 
 class TestNetlistFingerprint:

@@ -17,9 +17,9 @@ import pytest
 from repro.core import FlowCache, SweepRunner, Tracer
 from repro.core.cache import result_from_payload, result_to_payload
 from repro.core.flow import FLOW_STAGES, run_flow
-from repro.core.kernels import KERNEL_ENV, KERNEL_MODES
 from repro.core.sweeps import try_run
 
+from . import kernel_oracles
 from .golden_cases import CASES, GOLDEN_PATH, MultiplierFactory
 
 
@@ -41,18 +41,21 @@ def test_serial_path_matches_golden(golden, name):
     assert result_to_payload(result) == golden[name]
 
 
-@pytest.mark.parametrize("mode", KERNEL_MODES)
+@pytest.mark.parametrize("mode", ["numpy", "python"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_both_kernel_modes_match_golden(golden, name, mode, monkeypatch):
-    """Each ``REPRO_KERNEL`` mode reproduces the pinned numbers exactly.
+    """Both kernel implementations reproduce the pinned numbers exactly.
 
-    The kernels are operation-order compatible (docs/performance.md),
-    so the pinned tolerance is zero: a payload that differs in any bit
-    fails.  A deliberate kernel change that moves the numbers must
-    re-pin via ``scripts/make_golden.py`` — under *numpy* kernels, the
-    default — and both modes must land on the new fixture together.
+    *numpy* runs the production kernels; *python* substitutes all four
+    scalar oracles of ``tests/kernel_oracles.py`` for them at once.  The
+    kernels are operation-order compatible with the oracles
+    (docs/performance.md), so the pinned tolerance is zero: a payload
+    that differs in any bit fails.  A deliberate kernel change that
+    moves the numbers must re-pin via ``scripts/make_golden.py`` and
+    bring the oracle along in the same change.
     """
-    monkeypatch.setenv(KERNEL_ENV, mode)
+    if mode == "python":
+        kernel_oracles.install(monkeypatch)
     factory, config = CASES[name]
     result = try_run(factory, config)
     assert result_to_payload(result) == golden[name]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.telemetry import Tracer, activate
 from repro.pnr.routing.grid import RoutingGrid
 from repro.pnr.routing.router import GlobalRouter, NetSpec, _norm_edge
 from repro.tech import Side, make_ffet_node
@@ -122,6 +123,36 @@ class TestCongestion:
             [NetSpec("n", Side.FRONT, [(0, 0), (1, 0)])]
         )
         assert result.drv_count == 7 + result.overflow_edges
+
+
+class TestSearchSpan:
+    """``kernel.route.search`` times each maze distance field, nothing
+    else: one span per search, none when pattern routing suffices."""
+
+    @staticmethod
+    def traced_route_all(grid, specs):
+        tracer = Tracer()
+        with activate(tracer):
+            result = GlobalRouter(grid).route_all(specs)
+        trace = tracer.finish()
+        spans = [s for s in trace.spans if s.name == "kernel.route.search"]
+        return result, spans, trace.counters.get("kernel.route.searches", 0)
+
+    def test_one_span_per_search_on_a_congested_grid(self):
+        specs = [NetSpec(f"n{i}", Side.FRONT, [(0, 5), (9, 5)])
+                 for i in range(5)]
+        result, spans, searches = self.traced_route_all(
+            uniform_grid(cap=1.0), specs)
+        assert result.iterations > 0
+        assert searches > 0
+        assert len(spans) == searches
+
+    def test_overflow_free_routing_records_no_search(self):
+        specs = [NetSpec("a", Side.FRONT, [(0, 0), (3, 2)]),
+                 NetSpec("b", Side.FRONT, [(5, 5), (9, 8), (6, 9)])]
+        result, spans, searches = self.traced_route_all(uniform_grid(), specs)
+        assert result.iterations == 0 and result.overflow_edges == 0
+        assert spans == [] and searches == 0
 
 
 class TestRouteGeometry:

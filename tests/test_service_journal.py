@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from repro.service import journal as journal_mod
 from repro.service.journal import JobJournal
 
 SPEC = {"kind": "run", "design": {"type": "multiplier", "bits": 4},
@@ -75,13 +76,13 @@ def test_malformed_event_truncates_the_replay_there(tmp_path):
 
 def test_identity_mismatch_starts_fresh(tmp_path, monkeypatch):
     path = tmp_path / "journal.jsonl"
-    monkeypatch.setenv("REPRO_KERNEL", "python")
+    monkeypatch.setattr(journal_mod, "code_fingerprint", lambda: "a" * 64)
     journal = JobJournal(path)
     journal.job_submitted("j0001", SPEC, 1.0)
     journal.close()
-    # Same file under the other kernel: results are content-addressed
-    # by kernel mode, so the journal must not replay.
-    monkeypatch.setenv("REPRO_KERNEL", "numpy")
+    # Same file under other code: results are content-addressed by the
+    # code fingerprint, so the journal must not replay.
+    monkeypatch.setattr(journal_mod, "code_fingerprint", lambda: "b" * 64)
     assert JobJournal(path).replay() == []
 
 

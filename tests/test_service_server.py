@@ -133,6 +133,16 @@ class TestHttpSurface:
             assert counters["service.runs.executed"] == 1
             assert counters["service.runs.cache"] == 1
 
+    def test_mc_job_records_its_wall_time(self, tmp_path):
+        spec = {"kind": "mc", "design": MULT, "config": BASE_CONFIG,
+                "mc": {"samples": 2, "seed": 1}}
+        with serve(tmp_path, workers=1) as (client, _):
+            final = client.wait(client.submit(spec)["id"], timeout_s=120)
+        assert final["state"] == "completed"
+        [run] = final["runs"]
+        assert run["via"] == "executed" and run["ok"]
+        assert run["wall_s"] > 0.0
+
     def test_events_stream_sees_intermediate_snapshots(self, tmp_path):
         with serve(tmp_path, workers=1) as (client, _):
             spec = {"kind": "sweep", "axis": "layers",
