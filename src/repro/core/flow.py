@@ -414,6 +414,7 @@ def _exec_routing(s: _FlowState) -> dict:
                                   rrr_iterations=config.rrr_iterations)
             routing_results[side] = router.route_all(
                 decomposition.specs[side])
+    s.guard.check_routes(routing_results)
     s.routing_results = routing_results
     s.decomposition = decomposition
     # Bridging (Algorithm 1 fallback) inserts buffers into the netlist
@@ -429,6 +430,7 @@ def _restore_routing(s: _FlowState, art: dict) -> None:
     s.netlist = art["netlist"]
     s.placement = art["placement"]
     s.guard.check_decomposition(s.netlist, s.decomposition)
+    s.guard.check_routes(s.routing_results)
 
 
 def _exec_def_merge(s: _FlowState) -> dict:

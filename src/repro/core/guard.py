@@ -12,6 +12,8 @@ cheap invariant checks at the stage boundaries:
   it lies inside the die;
 * **net decomposition completeness** — Algorithm 1 assigned every sink
   of every net to exactly one wafer side (no lost or doubled sinks);
+* **route-tree connectivity** — every routed net's edges join all of
+  its terminals into one component;
 * **merged-DEF consistency** — the component list matches the netlist
   exactly and no net carries duplicated route segments;
 * **PPA sanity** — frequency/power/area/wirelength are finite and in
@@ -165,6 +167,31 @@ class FlowGuard:
                     f"netlist has {len(want)}")
                 return
 
+    def check_routes(self, routing_results) -> None:
+        """Every routed net's edges join all its terminals.
+
+        One union-find per net over its unit edges, linear in the
+        routed wirelength.
+        """
+        if not self.enabled:
+            return
+        self._checked()
+        for side, result in routing_results.items():
+            for name, route in result.routes.items():
+                parent: dict = {}
+                for a, b in route.edges:
+                    ra, rb = _root(parent, a), _root(parent, b)
+                    if ra != rb:
+                        parent[ra] = rb
+                root = _root(parent, route.terminals[0])
+                if any(_root(parent, t) != root
+                       for t in route.terminals[1:]):
+                    self._violate(
+                        "routing",
+                        f"net {name} ({side.value}): route does not "
+                        f"connect its {len(route.terminals)} terminals")
+                    return
+
     def check_merged_def(self, netlist, merged) -> None:
         """Every instance is a component; no net repeats a segment.
 
@@ -217,6 +244,16 @@ class FlowGuard:
         if not math.isfinite(result.timing.wns_ps):
             self._violate("sta", f"wns_ps = {result.timing.wns_ps!r} "
                                  "is not finite")
+
+
+def _root(parent: dict, node):
+    """Union-find root of ``node``, halving the path on the way up."""
+    while node in parent:
+        up = parent[node]
+        if up in parent:
+            parent[node] = parent[up]
+        node = up
+    return node
 
 
 #: A guard that never checks anything (mode ``off``).

@@ -6,12 +6,16 @@ L-shapes).  Overflowed nets are then ripped up and rerouted with a
 maze router whose cost includes present congestion and a negotiated-
 congestion history term, for a fixed number of iterations.
 
-The maze search settles a shortest-distance field over the net's
-search box with directional min-plus (fast-sweeping) relaxations, and
-a deterministic backtrack turns the field into the route.  With
-strictly positive edge costs the fixed point is unique (every distance
-is the minimum over paths of the left-associated IEEE-754 sum of edge
-costs), so it equals a fully settled Dijkstra field bit for bit;
+The maze search is a multi-source Dijkstra over the net's search box
+that stops as soon as it pops the target, and a deterministic
+backtrack turns the field into the route.  The backtrack only steps
+from ``v`` to a neighbor ``u`` with ``dist[u] + step == dist[v]``
+(``step >= 1``), so it reads nothing but values below the target's
+distance.  Dijkstra settles every such node before the target, with
+the same left-associated IEEE-754 sums as a field settled over the
+whole box; every node left unsettled holds a value no smaller than the
+target's and can never satisfy the equality.  The routes are therefore
+those of the fully settled field, bit for bit;
 ``tests/test_kernel_equivalence.py`` pins this against a scalar oracle.
 
 The result keeps per-net trees (unit gcell edges), so RC extraction can
@@ -21,6 +25,8 @@ paper's validity criterion is fewer than 10 DRVs (Section IV).
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,7 +279,8 @@ class GlobalRouter:
             tracer.count("kernel.route.nodes",
                          (y1 - y0 + 1) * (x1 - x0 + 1))
         with tracer.span("kernel.route.search"):
-            dist = self._dist_field(sources, box, cost_h, cost_v, tracer)
+            dist = self._dist_field(sources, box, cost_h, cost_v, tracer,
+                                    target)
         if not np.isfinite(dist[target[1] - y0, target[0] - x0]):
             raise RoutingError(f"maze routing failed to reach {target}",
                                "routing")
@@ -282,79 +289,105 @@ class GlobalRouter:
     def _dist_field(self, sources: set[Coord],
                     box: tuple[int, int, int, int],
                     cost_h: np.ndarray, cost_v: np.ndarray,
-                    tracer) -> np.ndarray:
-        """Directional min-plus sweeps to the fixed point.
+                    tracer, target: Coord) -> np.ndarray:
+        """Multi-source Dijkstra over ``box`` that stops at ``target``.
 
-        Each pass relaxes whole rows/columns at once in the four sweep
-        directions (the fast-sweeping method); paths with ``k``
-        direction reversals converge within ``k`` passes, so congested
-        detours typically settle in two or three.
+        Scalar, on flat lists: node ``row*w + col`` (box-local), costs
+        from one ``tolist()`` each.  The search breaks when it pops the
+        target, so the returned ``(h, w)`` field is exact only on the
+        settled prefix: every node settled before the target holds its
+        shortest distance, every other node a tentative value no smaller
+        than the target's (or ``inf``).  That is all :meth:`_backtrack`
+        reads (see the module docstring).
         """
         x0, y0, x1, y1 = box
         h = y1 - y0 + 1
         w = x1 - x0 + 1
-        dist = np.full((h, w), np.inf)
+        n = h * w
+        # Horizontal costs padded with an inf column, and the field with
+        # one trailing inf: stepping east off a row's last node (or west
+        # off its first) then never relaxes anything, with no bounds test.
+        east = np.full((h, w), np.inf)
+        east[:, :-1] = cost_h[y0:y1 + 1, x0:x1]
+        east = east.ravel().tolist()
+        north = cost_v[y0:y1, x0:x1 + 1].ravel().tolist()
+        top = n - w
+        dist = [math.inf] * (n + 1)
+        heap = []
         for c, r in sources:
             if x0 <= c <= x1 and y0 <= r <= y1:
-                dist[r - y0, c - x0] = 0.0
-        ch = cost_h[y0:y1 + 1, x0:x1]    # (h, w - 1)
-        cv = cost_v[y0:y1, x0:x1 + 1]    # (h - 1, w)
-        sweeps = 0
-        while True:
-            before = dist.copy()
-            for c in range(1, w):        # west -> east
-                np.minimum(dist[:, c], dist[:, c - 1] + ch[:, c - 1],
-                           out=dist[:, c])
-            for c in range(w - 2, -1, -1):   # east -> west
-                np.minimum(dist[:, c], dist[:, c + 1] + ch[:, c],
-                           out=dist[:, c])
-            for r in range(1, h):        # south -> north
-                np.minimum(dist[r], dist[r - 1] + cv[r - 1],
-                           out=dist[r])
-            for r in range(h - 2, -1, -1):   # north -> south
-                np.minimum(dist[r], dist[r + 1] + cv[r],
-                           out=dist[r])
-            sweeps += 1
-            if np.array_equal(before, dist):
+                i = (r - y0) * w + (c - x0)
+                dist[i] = 0.0
+                heap.append((0.0, i))
+        heapq.heapify(heap)
+        goal = (target[1] - y0) * w + (target[0] - x0)
+        pop, push = heapq.heappop, heapq.heappush
+        settled = 0
+        while heap:
+            d, i = pop(heap)
+            if d > dist[i]:
+                continue
+            settled += 1
+            if i == goal:
                 break
+            nd = d + east[i]
+            if nd < dist[i + 1]:
+                dist[i + 1] = nd
+                push(heap, (nd, i + 1))
+            nd = d + east[i - 1]
+            if nd < dist[i - 1]:
+                dist[i - 1] = nd
+                push(heap, (nd, i - 1))
+            if i < top:
+                nd = d + north[i]
+                if nd < dist[i + w]:
+                    dist[i + w] = nd
+                    push(heap, (nd, i + w))
+            if i >= w:
+                nd = d + north[i - w]
+                if nd < dist[i - w]:
+                    dist[i - w] = nd
+                    push(heap, (nd, i - w))
         if tracer.enabled:
-            tracer.count("kernel.route.sweeps", sweeps)
-        return dist
+            tracer.count("kernel.route.settled", settled)
+        return np.array(dist[:n]).reshape(h, w)
 
     def _backtrack(self, dist: np.ndarray, target: Coord,
                    box: tuple[int, int, int, int],
                    cost_h: np.ndarray, cost_v: np.ndarray) -> list[Coord]:
-        """Walk the settled field from ``target`` back to a source.
+        """Walk the field from ``target`` back to a source.
 
-        Deterministic: neighbors are probed in a fixed order and
-        accepted on *exact* float equality ``dist[u] + cost == dist[v]``
-        — always satisfiable at the fixed point, and strictly
-        decreasing, so the walk terminates at a zero-distance source.
+        Deterministic: neighbors are probed in a fixed order (east,
+        west, north, south) and accepted on *exact* float equality
+        ``dist[u] + cost == dist[v]``, always satisfiable on the settled
+        prefix and strictly decreasing, so the walk terminates at a
+        zero-distance source.  An unreached (``inf``) or unsettled
+        neighbor never satisfies the equality.
         """
         x0, y0, x1, y1 = box
+        field = dist.tolist()
+        ch = cost_h[y0:y1 + 1, x0:x1].tolist()
+        cv = cost_v[y0:y1, x0:x1 + 1].tolist()
+        w = x1 - x0 + 1
+        h = y1 - y0 + 1
+        c, r = target[0] - x0, target[1] - y0
         path = [target]
-        node = target
-        while dist[node[1] - y0, node[0] - x0] != 0.0:
-            c, r = node
-            here = dist[r - y0, c - x0]
-            for nxt in ((c + 1, r), (c - 1, r), (c, r + 1), (c, r - 1)):
-                if not (x0 <= nxt[0] <= x1 and y0 <= nxt[1] <= y1):
-                    continue
-                there = dist[nxt[1] - y0, nxt[0] - x0]
-                if not np.isfinite(there):
-                    continue
-                if nxt[1] == r:
-                    step = cost_h[r, min(c, nxt[0])]
-                else:
-                    step = cost_v[min(r, nxt[1]), c]
-                if there + step == here:
-                    node = nxt
-                    path.append(node)
-                    break
-            else:  # pragma: no cover - fixed-point invariant violated
+        here = field[r][c]
+        while here != 0.0:
+            if c + 1 < w and field[r][c + 1] + ch[r][c] == here:
+                c += 1
+            elif c > 0 and field[r][c - 1] + ch[r][c - 1] == here:
+                c -= 1
+            elif r + 1 < h and field[r + 1][c] + cv[r][c] == here:
+                r += 1
+            elif r > 0 and field[r - 1][c] + cv[r - 1][c] == here:
+                r -= 1
+            else:  # pragma: no cover - settled-prefix invariant violated
                 raise RoutingError(
-                    f"backtrack stuck at {node} routing to {target}",
-                    "routing")
+                    f"backtrack stuck at {(c + x0, r + y0)} routing to "
+                    f"{target}", "routing")
+            here = field[r][c]
+            path.append((c + x0, r + y0))
         return list(reversed(path))
 
     # -- top level ------------------------------------------------------------

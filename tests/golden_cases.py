@@ -67,4 +67,9 @@ CASES: dict[str, tuple[object, FlowConfig]] = {
     # blockage-aware legalization, derated routing capacity and the
     # macro LEF/DEF emission on every regression run.
     "ffet_dual_rv16_sram": (SramCoreFactory(), FlowConfig()),
+    # A shallow, dense split congests the front side, so rip-up and
+    # reroute runs and the maze search is pinned end to end.
+    "ffet_dual_rv8_fm3bm3_u85": (RiscvTinyFactory(),
+                                 FlowConfig(front_layers=3, back_layers=3,
+                                            utilization=0.85)),
 }

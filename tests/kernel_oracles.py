@@ -1,13 +1,14 @@
 """Scalar reference implementations of the flow's four hot kernels.
 
-Each production kernel is one vectorized function; the plain-Python
-loop it replaced lives here as its oracle.  Every oracle has the same
+Each production kernel has one implementation; a plain-Python
+reference lives here as its oracle.  Every oracle has the same
 signature as the kernel it checks, so a test can substitute it with
 ``monkeypatch`` (:func:`install`) and run any flow path on the scalar
 code:
 
 * :func:`dist_field_python` for :meth:`GlobalRouter._dist_field`
-  (scalar Dijkstra settled over the whole search box);
+  (scalar Dijkstra settled over the whole search box; the kernel stops
+  at its target);
 * :func:`field_sweep_python` for :func:`repro.pnr.placement._field_sweep`
   (explicit loops over the net/cell incidence list);
 * :func:`elmore_forest_python` for the batched
@@ -18,7 +19,9 @@ code:
   arc, in topological order).
 
 The kernels are operation-order compatible with these loops, so the
-tolerance is zero ULP (docs/performance.md).
+tolerance is zero ULP (docs/performance.md); for the maze search it
+holds on the settled prefix, the only part of the field the backtrack
+reads.
 """
 
 from __future__ import annotations
@@ -38,8 +41,11 @@ sta = import_module("repro.sta.sta")
 
 
 def dist_field_python(self, sources, box, cost_h, cost_v,
-                      tracer=None) -> np.ndarray:
-    """Reference kernel: scalar Dijkstra settled over the whole box."""
+                      tracer=None, target=None) -> np.ndarray:
+    """Reference kernel: scalar Dijkstra settled over the whole box.
+
+    ``target`` is accepted and ignored: the oracle never stops early.
+    """
     x0, y0, x1, y1 = box
     dist = np.full((y1 - y0 + 1, x1 - x0 + 1), np.inf)
     heap = []

@@ -61,6 +61,19 @@ def test_both_kernel_modes_match_golden(golden, name, mode, monkeypatch):
     assert result_to_payload(result) == golden[name]
 
 
+def test_congested_case_runs_the_maze_search():
+    """The congested golden keeps ripping up, so both the maze kernel and
+    its oracle stay pinned end to end; it must not go uncongested."""
+    name = "ffet_dual_rv8_fm3bm3_u85"
+    factory, config = CASES[name]
+    tracer = Tracer(label=name)
+    run_flow(factory, config, tracer=tracer)
+    trace = tracer.finish()
+    assert trace.counters.get("kernel.route.searches", 0) > 0
+    assert max(trace.gauges.get(f"route.{side}.rrr_iterations", 0)
+               for side in ("front", "back")) >= 1
+
+
 def test_parallel_path_matches_golden(golden):
     """jobs=2 over the pool reproduces the pinned numbers exactly."""
     names = [n for n in sorted(CASES)

@@ -8,12 +8,14 @@ import warnings
 
 import pytest
 
-from repro.core import FlowConfig, run_flow
+from repro.core import FlowCache, FlowConfig, Tracer, run_flow
 from repro.core.errors import GuardViolation
 from repro.core.faults import FaultPlan
 from repro.core.guard import GUARD_ENV, FlowGuard, default_mode
+from repro.core.stages import StageStore
+from repro.pnr.routing.router import GlobalRouter
 
-from .golden_cases import MultiplierFactory
+from .golden_cases import CASES, MultiplierFactory
 
 FACTORY = MultiplierFactory(4)
 BASE = FlowConfig(arch="ffet", backside_pin_fraction=0.5, utilization=0.5)
@@ -76,6 +78,56 @@ class TestWarnMode:
         assert result is not None  # run completed despite the violation
         assert guard.violations
         assert any("flow guard" in str(w.message) for w in caught)
+
+
+class TestRouteConnectivity:
+    """A maze backtrack that loses a step leaves a net disconnected; the
+    guard catches it at the routing stage."""
+
+    CONGESTED = CASES["ffet_dual_rv8_fm3bm3_u85"]
+
+    @staticmethod
+    def drop_first_step(monkeypatch):
+        backtrack = GlobalRouter._backtrack
+
+        def lossy(self, *args):
+            return backtrack(self, *args)[1:]
+
+        monkeypatch.setattr(GlobalRouter, "_backtrack", lossy)
+
+    def test_strict_raises_at_routing(self, monkeypatch):
+        self.drop_first_step(monkeypatch)
+        factory, config = self.CONGESTED
+        with pytest.raises(GuardViolation) as info:
+            run_flow(factory, config, guard=FlowGuard(mode="strict"))
+        assert info.value.stage == "routing"
+        assert "does not connect" in str(info.value)
+
+    def test_warn_records_and_counts(self, monkeypatch):
+        self.drop_first_step(monkeypatch)
+        factory, config = self.CONGESTED
+        guard = FlowGuard(mode="warn")
+        tracer = Tracer()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_flow(factory, config, guard=guard, tracer=tracer)
+        assert any(v.startswith("routing: net ") for v in guard.violations)
+        assert tracer.finish().counters["guard.violations"] >= 1
+
+    def test_restored_routing_artifact_is_checked(self, tmp_path):
+        """A broken route stored by an unguarded walk is caught when a
+        strict walk replays it from the stage store."""
+        factory, config = self.CONGESTED
+        store = StageStore(FlowCache(tmp_path))
+        with pytest.MonkeyPatch.context() as mp:
+            self.drop_first_step(mp)
+            run_flow(factory, config, guard=FlowGuard(mode="off"),
+                     store=store, stop_after="routing")
+        with pytest.raises(GuardViolation) as info:
+            run_flow(factory, config, guard=FlowGuard(mode="strict"),
+                     store=store, stop_after="routing")
+        assert info.value.stage == "routing"
+        assert store.by_stage["routing"][0] == 1  # replayed, not rerouted
 
 
 class TestResultSanity:

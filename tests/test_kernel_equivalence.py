@@ -14,11 +14,11 @@ tolerance is **zero ULP everywhere**:
   :class:`LookupTable` calls: bit-equal;
 * **Elmore delay** — :func:`elmore_forest` vs per-tree
   :meth:`RCTree.elmore_ps`: bit-equal;
-* **maze routing** — the min-plus sweep kernel and the scalar
-  Dijkstra oracle settle the same shortest-distance field (unique
-  fixed point under strictly positive costs) and share one
-  deterministic backtrack: identical fields, identical routes,
-  identical wirelength/overflow;
+* **maze routing** — the early-exit Dijkstra kernel and the scalar
+  Dijkstra oracle, settled over the whole box, agree bitwise on every
+  node below the target's distance (the only values the shared
+  deterministic backtrack reads): identical routes, identical
+  wirelength/overflow;
 * **analytic placement** — scatter/gather sweeps accumulate in entry
   order like the oracle's loops: identical coordinates;
 * **STA propagation** — the level-batched engine vs the scalar
@@ -172,14 +172,24 @@ def congested_routers(draw):
 class TestMazeKernelEquivalence:
     @slow
     @given(congested_routers())
-    def test_distance_fields_bitwise_equal(self, case):
+    def test_settled_prefix_bitwise_equal(self, case):
+        """The kernel stops at its target, so its field is exact only
+        below the target's distance: that prefix, and the target's own
+        value, equal the fully settled oracle bit for bit."""
         router, spec = case
         cost_h, cost_v = router._cost_fields()
         box = (0, 0, router.grid.cols - 1, router.grid.rows - 1)
         sources = set(spec.terminals[:-1])
-        d_py = oracles.dist_field_python(router, sources, box, cost_h, cost_v)
-        d_np = router._dist_field(sources, box, cost_h, cost_v, NULL_TRACER)
-        assert np.array_equal(d_py, d_np)
+        col, row = spec.terminals[-1]
+        ref = oracles.dist_field_python(router, sources, box, cost_h, cost_v)
+        got = router._dist_field(sources, box, cost_h, cost_v, NULL_TRACER,
+                                 (col, row))
+        at_target = ref[row, col]
+        assert got[row, col] == at_target
+        below = ref < at_target
+        assert np.array_equal(got[below], ref[below])
+        held = got < at_target
+        assert np.array_equal(got[held], ref[held])
 
     @slow
     @given(congested_routers())

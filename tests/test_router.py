@@ -154,6 +154,21 @@ class TestSearchSpan:
         assert result.iterations == 0 and result.overflow_edges == 0
         assert spans == [] and searches == 0
 
+    def test_open_grid_search_settles_less_than_its_box(self):
+        """The search stops at its target: on an open grid it settles a
+        small diamond around the source, not the whole search box."""
+        router = GlobalRouter(uniform_grid(cols=20, rows=20))
+        tracer = Tracer()
+        with activate(tracer):
+            route = router._maze_route(
+                NetSpec("n", Side.FRONT, [(4, 10), (8, 10)]))
+        counters = tracer.finish().counters
+        assert route.wirelength_gcells == 4
+        assert counters["kernel.route.searches"] == 1
+        assert counters["kernel.route.nodes"] == 15 * 13
+        assert 0 < counters["kernel.route.settled"] < \
+            counters["kernel.route.nodes"] / 2
+
 
 class TestRouteGeometry:
     def test_bends_counted(self):
